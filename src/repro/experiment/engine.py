@@ -868,8 +868,9 @@ def sweep_into(
 
     The memory-bounded execution plane: records are *never* gathered
     into a :class:`~repro.experiment.records.RunRecordSet`.  With
-    multiple effective shards this drains :func:`stream_sweep` (one
-    ``write_many`` per shard, byte-identical records, spec order); with
+    multiple effective shards this drains :func:`stream_sweep` (each
+    shard written in ``batch_size`` slices, byte-identical records,
+    spec order); with
     a single effective shard the sweep runs in-process through the
     batched round loop in slices of ``batch_size`` specs, so resident
     records stay bounded by ``batch_size`` (plus whatever the sink
@@ -922,7 +923,10 @@ def sweep_into(
             stream_sweep(pending, workers=workers, warm_cache=warm_cache, stats=stats),
             bounds,
         ):
-            sink.write_many(chunk)
+            # batch_size-sized writes, as on the single-shard path: the
+            # sinks' residency envelopes are stated per write.
+            for offset in range(0, len(chunk), batch_size):
+                sink.write_many(chunk[offset : offset + batch_size])
             total += len(chunk)
             if ckpt is not None:
                 _flush_sink(sink)  # progress must never outrun the archive

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 from repro.errors import PreferenceError
 from repro.ids import LEFT, RIGHT, PartyId, all_parties, left_side, right_side
-from repro.matching.kernel import random_index_rows
+from repro.matching.kernel import random_pref_matrices
 from repro.matching.preferences import PreferenceProfile, default_list
 
 __all__ = [
@@ -50,14 +50,14 @@ def resolve_rng(rng_or_seed: random.Random | int | None) -> random.Random:
 def random_profile(k: int, rng_or_seed: random.Random | int | None = None) -> PreferenceProfile:
     """A uniformly random complete preference profile of size ``k``.
 
-    Generates int index rows through the kernel (stream-identical to the
-    historical per-``PartyId`` shuffles: left parties first, one shuffle
-    per party) and skips re-validation — the rows are permutations by
-    construction.
+    Generates flat int preference matrices through the kernel
+    (stream-identical to the historical per-``PartyId`` shuffles: left
+    parties first, one shuffle per party) and skips re-validation — the
+    rows are permutations by construction.
     """
     rng = resolve_rng(rng_or_seed)
-    left_rows, right_rows = random_index_rows(k, rng)
-    return PreferenceProfile.from_trusted_index_rows(k, left_rows, right_rows)
+    left_pref, right_pref = random_pref_matrices(k, rng)
+    return PreferenceProfile.from_trusted_pref_matrices(k, left_pref, right_pref)
 
 
 def correlated_profile(

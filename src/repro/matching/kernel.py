@@ -31,20 +31,22 @@ during validation (one pass: validate + lower).  The loops:
 * :func:`solvable_pairs` — the paper's Theorems 2-7 evaluated as
   closed-form masks over a whole ``(tL, tR)`` budget grid in one pass
   (vectorized through numpy when it is available);
-* :func:`random_index_rows` / :func:`random_instance_stats` — kernel-
+* :func:`random_pref_matrices` / :func:`random_instance_stats` — kernel-
   native uniform instance generation that consumes the *identical*
   Mersenne-Twister stream as ``random_profile`` (shuffling an int row
   swaps the same positions as shuffling a ``PartyId`` row), so the
   engine's offline fast path emits byte-identical records without ever
   materializing a ``PartyId``.
 
-When numpy and a C compiler are present the generation path drops one
-level further: the Mersenne state is transplanted into a numpy
-``RandomState`` (the same MT19937, verified word-for-word), the raw
-32-bit word stream is extracted in bulk, and the Fisher-Yates rejection
-loop runs in a small compiled helper (:mod:`repro.matching._native`).
-Both accelerations are bit-identical to the pure-python loop and degrade
-silently when unavailable (``REPRO_NATIVE=0`` forces the fallback).
+With a C compiler present, large inputs drop one level further into a
+small compiled helper (:mod:`repro.matching._native`, no numpy): uniform
+instance generation runs CPython's own MT19937 and the Fisher-Yates
+rejection loop in C from ``rng``'s state and hands the advanced state
+back, rank matrices are inverted there, and ``gs_rank_arrays`` runs the
+same proposal loop compiled.  Every native path is bit-identical to
+its pure-python reference (the path without a compiler, and what
+``tests/test_kernel.py`` compares against) and degrades silently when
+unavailable (``REPRO_NATIVE=0`` forces the fallback).
 """
 
 from __future__ import annotations
@@ -67,11 +69,12 @@ except ImportError:  # pragma: no cover - the CI image ships numpy
 __all__ = [
     "RankTables",
     "lower_index_rows",
+    "lower_pref_matrices",
     "gs_rank_arrays",
     "gs_incomplete_rank_arrays",
     "roommates_core",
     "solvable_pairs",
-    "random_index_rows",
+    "random_pref_matrices",
     "random_instance_stats",
     "numpy_rank_sums",
     "HAVE_NUMPY",
@@ -131,8 +134,15 @@ def lower_index_rows(
     validating path is ``PreferenceProfile.__post_init__``, which
     builds its tables inside the same pass that checks the lists).
     """
-    left_pref = array("i", [entry for row in left_rows for entry in row])
-    right_pref = array("i", [entry for row in right_rows for entry in row])
+    return lower_pref_matrices(
+        k,
+        array("i", [entry for row in left_rows for entry in row]),
+        array("i", [entry for row in right_rows for entry in row]),
+    )
+
+
+def lower_pref_matrices(k: int, left_pref: array, right_pref: array) -> RankTables:
+    """Tables over trusted flat preference matrices (kept, not copied)."""
     return RankTables(
         k, left_pref, right_pref, _invert_rows(k, left_pref), _invert_rows(k, right_pref)
     )
@@ -140,8 +150,13 @@ def lower_index_rows(
 
 def _invert_rows(k: int, pref: array) -> array:
     """Row-by-row inverse permutation: ``rank[base + pref[base + j]] = j``."""
+    native = _native_for(len(pref))
+    if native is not None:
+        rank = native.invert_rows(pref, k)
+        if rank is not None:
+            return rank
     rank = array("i", pref)  # same length; every slot is overwritten
-    for base in range(0, k * k, k):
+    for base in range(0, len(pref), k):
         for position in range(k):
             rank[base + pref[base + position]] = position
     return rank
@@ -165,8 +180,22 @@ def gs_rank_arrays(
     Free proposers are handled by displacement-chasing (a displaced
     incumbent proposes next); McVitie-Wilson order-invariance makes the
     result — matching and proposal count — identical to the legacy
-    smallest-id-first heap loop.
+    smallest-id-first heap loop.  From ``_NATIVE_MIN_CELLS`` cells on,
+    ``array('i')`` inputs run the same loop compiled; on malformed input
+    it bails out to the python loop, which raises.
     """
+    native = _native_for(k * k)
+    if native is not None:
+        result = native.gs(k, pref, responder_rank)
+        if result is not None:
+            return result
+    return _gs_python(k, pref, responder_rank)
+
+
+def _gs_python(
+    k: int, pref: Sequence[int], responder_rank: Sequence[int]
+) -> tuple[list[int], int]:
+    """The reference proposal loop behind :func:`gs_rank_arrays`."""
     next_choice = [0] * k
     engaged = [-1] * k
     proposals = 0
@@ -406,96 +435,15 @@ def _solvable_pairs_numpy(
 
 # -- kernel-native uniform instance generation ---------------------------------
 
-#: Below this many cells (``rows * k``) the fixed cost of the native
-#: path (state transplant + bulk word extraction) beats its win.
+#: Below this many matrix cells the native lane's fixed cost (ctypes
+#: calls, the generator-state round trip) beats its win, so Table 1's
+#: k <= 3 instances stay on the python loops.
 _NATIVE_MIN_CELLS = 4096
 
 
-def _expected_row_words(k: int) -> float:
-    """Expected Mersenne words per shuffled row of length ``k``.
-
-    One draw per Fisher-Yates step is ``2^bit_length(n) / n`` words in
-    expectation (geometric rejection sampling), summed over bounds
-    ``n = k .. 2``.
-    """
-    cached = _ROW_WORDS.get(k)
-    if cached is None:
-        cached = sum((1 << n.bit_length()) / n for n in range(2, k + 1))
-        _ROW_WORDS[k] = cached
-    return cached
-
-
-_ROW_WORDS: dict[int, float] = {}
-
-#: Word-extraction chunk bound for the native lane: one chunk's uint32
-#: draw tops out at 64 MiB, keeping peak memory flat as ``k`` and row
-#: counts grow (``k = 8192`` needs ~186M words total, which would be a
-#: ~750 MiB single allocation without chunking).
-_WORD_BUDGET = 1 << 24
-
-
-def _mt_shuffled_matrix(
-    rng: random.Random, k: int, count: int, word_budget: int = _WORD_BUDGET
-):
-    """``count`` stream-identical shuffled rows as an int32 matrix, or
-    ``None`` when the native lane is unavailable or not worth it.
-
-    Transplants ``rng``'s Mersenne state into a numpy ``RandomState``
-    (bit-for-bit the same MT19937), extracts the raw 32-bit word stream
-    in budget-bounded chunks, and runs the Fisher-Yates rejection loop
-    in C.  Chunking is invisible to the result: leftover words from one
-    chunk head the next, so the C loop sees one continuous stream.
-    ``rng`` is then advanced by *exactly* the words the shuffles
-    consumed, so callers sharing the generator see the same stream
-    position as the pure-python path — a caller's next draw is
-    unchanged.
-    """
-    if _np is None or count == 0 or count * k < _NATIVE_MIN_CELLS:
-        return None
-    native = _native.load()
-    if native is None:
-        return None
-    version, internal, gauss = rng.getstate()
-    keys = _np.asarray(internal[:-1], dtype=_np.uint32)
-    state = _np.random.RandomState()
-    state.set_state(("MT19937", keys, internal[-1]))
-    row_words = _expected_row_words(k)
-    # Rows whose expected words (plus the safety margin) fit the budget;
-    # a single over-budget row still runs — the budget is a target, not
-    # a ceiling.
-    per_chunk = max(1, int((word_budget - 4 * k - 64 - 16.0 * word_budget**0.5) / row_words))
-    out = _np.empty((count, k), dtype=_np.int32)
-    buffered = _np.empty(0, dtype=_np.uint32)
-    total_consumed = 0
-    start = 0
-    while start < count:
-        rows = min(count - start, per_chunk)
-        expected = rows * row_words
-        need = int(expected + 16.0 * expected**0.5) + 4 * k + 64
-        if buffered.size < need:
-            fresh = state.randint(0, 2**32, size=need - buffered.size, dtype=_np.uint32)
-            buffered = _np.concatenate([buffered, fresh]) if buffered.size else fresh
-        chunk = out[start : start + rows]
-        consumed = native.fy_fill(buffered, k, rows, chunk)
-        while consumed < 0:  # pragma: no cover - ~16-sigma word overdraw
-            extra = state.randint(0, 2**32, size=need, dtype=_np.uint32)
-            buffered = _np.concatenate([buffered, extra])
-            consumed = native.fy_fill(buffered, k, rows, chunk)
-        total_consumed += consumed
-        buffered = buffered[consumed:]
-        start += rows
-    # Re-extract exactly `total_consumed` words (in budget-sized steps —
-    # chunked extraction walks the identical stream) to land rng on the
-    # position the serial getrandbits calls would have left it at.
-    state.set_state(("MT19937", keys, internal[-1]))
-    remaining = total_consumed
-    while remaining:
-        step = min(remaining, word_budget)
-        state.randint(0, 2**32, size=step, dtype=_np.uint32)
-        remaining -= step
-    _, advanced, pos = state.get_state()[:3]
-    rng.setstate((version, tuple(map(int, advanced)) + (int(pos),), gauss))
-    return out
+def _native_for(cells: int) -> _native.NativeKernel | None:
+    """The compiled lane, when there is one and ``cells`` pays for it."""
+    return _native.load() if cells >= _NATIVE_MIN_CELLS else None
 
 
 def _shuffled_row(k: int, getrandbits) -> list[int]:
@@ -518,37 +466,38 @@ def _shuffled_row(k: int, getrandbits) -> list[int]:
     return row
 
 
-def random_index_rows(
-    k: int, rng: random.Random
-) -> tuple[list[list[int]], list[list[int]]]:
-    """Uniform random preference rows, as ints, left side first.
+def random_pref_matrices(k: int, rng: random.Random) -> tuple[array, array]:
+    """Uniform random preference matrices (flat, row-major), left first.
 
     Consumes ``rng``'s stream exactly like
-    :func:`repro.matching.generators.random_profile` (which shuffles
-    one opposite-side row per party, left parties first): shuffling
-    ``[0..k-1]`` swaps the same positions as shuffling the
-    ``PartyId`` row, so the permutations are identical.  The inlined
-    shuffle is only safe for a plain ``random.Random``; subclasses
-    (which may override ``shuffle``/``getrandbits``) fall back to the
-    real method on an int row — still the same stream.
+    :func:`repro.matching.generators.random_profile` historically did
+    (one ``rng.shuffle`` of an opposite-side row per party, left parties
+    first): shuffling ``[0..k-1]`` swaps the same positions as shuffling
+    the ``PartyId`` row, so the permutations are identical.  The inlined
+    and compiled shuffles are only safe for a plain ``random.Random``;
+    subclasses (which may override ``shuffle``/``getrandbits``) fall
+    back to the real method on an int row — still the same stream.
     """
     if type(rng) is random.Random:
-        matrix = _mt_shuffled_matrix(rng, k, 2 * k)
-        if matrix is not None:
-            rows = matrix.tolist()
-            return rows[:k], rows[k:]
+        native = _native_for(2 * k * k)
+        if native is not None:
+            return native.fy_fill(rng, k, k), native.fy_fill(rng, k, k)
         getrandbits = rng.getrandbits
-        left = [_shuffled_row(k, getrandbits) for _ in range(k)]
-        right = [_shuffled_row(k, getrandbits) for _ in range(k)]
-        return left, right
 
-    def shuffled() -> list[int]:
-        row = list(range(k))
-        rng.shuffle(row)
-        return row
+        def shuffled() -> list[int]:
+            return _shuffled_row(k, getrandbits)
 
-    left = [shuffled() for _ in range(k)]
-    right = [shuffled() for _ in range(k)]
+    else:
+
+        def shuffled() -> list[int]:
+            row = list(range(k))
+            rng.shuffle(row)
+            return row
+
+    left, right = array("i"), array("i")
+    for matrix in (left, right):
+        for _ in range(k):
+            matrix.extend(shuffled())
     return left, right
 
 
@@ -562,25 +511,8 @@ def random_instance_stats(k: int, seed: int) -> tuple[int, int]:
     1-indexed partner ranks.  Complete preferences always match
     everyone, so ``matched == k`` and ``rejections == proposals - k``.
     """
-    rng = random.Random(seed)
-    matrix = _mt_shuffled_matrix(rng, k, 2 * k)
-    if matrix is not None:
-        # Stay in flat int32 buffers: the left block *is* the proposer
-        # preference matrix, the right block inverts to the rank matrix.
-        native = _native.load()
-        assert native is not None  # _mt_shuffled_matrix gated on it
-        inverse = _np.empty((k, k), dtype=_np.int32)
-        native.invert_rows(matrix[k:], k, inverse)
-        left_pref = array("i", matrix[:k].tobytes())
-        right_rank = array("i", inverse.tobytes())
-    else:
-        left_rows, right_rows = random_index_rows(k, rng)
-        left_pref = array("i", [entry for row in left_rows for entry in row])
-        right_rank = array("i", bytes(4 * k * k))
-        for responder, row in enumerate(right_rows):
-            base = responder * k
-            for position, proposer in enumerate(row):
-                right_rank[base + proposer] = position
+    left_pref, right_pref = random_pref_matrices(k, random.Random(seed))
+    right_rank = _invert_rows(k, right_pref)
     engaged, proposals = gs_rank_arrays(k, left_pref, right_rank)
     receiver_rank = k  # the "+1" of every 1-indexed rank, hoisted
     for responder in range(k):

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import PreferenceError
 from repro.ids import LEFT, RIGHT, PartyId, all_parties, left_side, right_side
-from repro.matching.kernel import RankTables, lower_index_rows
+from repro.matching.kernel import RankTables, lower_pref_matrices
 
 __all__ = [
     "PreferenceList",
@@ -182,16 +182,29 @@ class PreferenceProfile:
         constructor would build them — only the permutation re-check is
         skipped.
         """
+        return cls.from_trusted_pref_matrices(
+            k,
+            array("i", [entry for row in left_rows for entry in row]),
+            array("i", [entry for row in right_rows for entry in row]),
+        )
+
+    @classmethod
+    def from_trusted_pref_matrices(
+        cls, k: int, left_pref: array, right_pref: array
+    ) -> "PreferenceProfile":
+        """:meth:`from_trusted_index_rows` over flat row-major ``array('i')``
+        preference matrices, which become the profile's tables as they are
+        (the generators' output, no re-flattening)."""
         lefts, rights = left_side(k), right_side(k)
         lists: dict[PartyId, PreferenceList] = {}
         for i in range(k):
-            lists[lefts[i]] = tuple(map(rights.__getitem__, left_rows[i]))
+            lists[lefts[i]] = tuple(map(rights.__getitem__, left_pref[i * k : i * k + k]))
         for i in range(k):
-            lists[rights[i]] = tuple(map(lefts.__getitem__, right_rows[i]))
+            lists[rights[i]] = tuple(map(lefts.__getitem__, right_pref[i * k : i * k + k]))
         profile = object.__new__(cls)
         object.__setattr__(profile, "k", k)
         object.__setattr__(profile, "lists", lists)
-        object.__setattr__(profile, "tables", lower_index_rows(k, left_rows, right_rows))
+        object.__setattr__(profile, "tables", lower_pref_matrices(k, left_pref, right_pref))
         return profile
 
     @classmethod

@@ -34,7 +34,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from repro.errors import MatchingError
-from repro.ids import left_side
+from repro.ids import left_side, right_side
 from repro.matching.matching import Matching
 from repro.matching.preferences import PreferenceProfile
 from repro.rotations.rotations import Rotation, RotationDiscovery, find_rotations
@@ -271,6 +271,14 @@ def build_poset(profile: PreferenceProfile) -> RotationPoset:
     """Discover rotations and wire the precedence digraph for ``profile``."""
     discovery = find_rotations(profile)
     preds: list[set[int]] = [set() for _ in discovery.rotations]
+    k = profile.k
+    tables = profile.tables
+    left_pref, left_rank, right_rank = tables.left_pref, tables.left_rank, tables.right_rank
+    rights = right_side(k)
+    # Each R-party's rank of its L-optimal partner.
+    initial_rank = [0] * k
+    for l, r in discovery.l_optimal.matched_pairs():
+        initial_rank[r.index] = right_rank[r.index * k + l.index]
 
     for rotation in discovery.rotations:
         for l, r, r_next in rotation.moves():
@@ -282,15 +290,13 @@ def build_poset(profile: PreferenceProfile) -> RotationPoset:
             # list must already prefer its partner to l, so the rotation
             # that lifted it above l (if the L-optimal matching didn't
             # start it there) must come first.
-            lst = profile.list_of(l)
-            for position in range(profile.rank(l, r) + 1, profile.rank(l, r_next)):
-                skipped = lst[position]
-                threshold = profile.rank(skipped, l)
-                initial = discovery.l_optimal.partner(skipped)
-                assert initial is not None
-                if profile.rank(skipped, initial) < threshold:
+            base = l.index * k
+            for position in range(left_rank[base + r.index] + 1, left_rank[base + r_next.index]):
+                skipped = left_pref[base + position]
+                threshold = right_rank[skipped * k + l.index]
+                if initial_rank[skipped] < threshold:
                     continue  # already above l in the L-optimal matching
-                source = _rule2_source(discovery.lifts[skipped], threshold)
+                source = _rule2_source(discovery.lifts[rights[skipped]], threshold)
                 if source is not None and source < rotation.index:
                     preds[rotation.index].add(source)
 

@@ -114,87 +114,96 @@ class RotationDiscovery:
     lifts: dict[PartyId, tuple[tuple[int, int], ...]]
 
 
-def _canonical_cycle(cycle: list[PartyId]) -> list[PartyId]:
-    """Rotate the cycle so its smallest party leads (canonical form)."""
-    start = cycle.index(min(cycle))
-    return cycle[start:] + cycle[:start]
-
-
 def find_rotations(profile: PreferenceProfile) -> RotationDiscovery:
-    """Discover every rotation of ``profile`` via one elimination pass."""
+    """Discover every rotation of ``profile`` via one elimination pass.
+
+    The pass runs on the profile's rank tables with int party indexes;
+    ``PartyId``s are only built for the returned discovery.
+    """
     k = profile.k
-    lefts = left_side(k)
+    tables = profile.tables
+    left_pref, left_rank, right_rank = tables.left_pref, tables.left_rank, tables.right_rank
+    lefts, rights = left_side(k), right_side(k)
     l_optimal = gale_shapley(profile, LEFT).matching
 
-    partner_of: dict[PartyId, PartyId] = {}  # both directions, current matching
-    for l in lefts:
-        r = l_optimal.partner(l)
+    # The current matching, both directions, as indexes.
+    right_of = [0] * k
+    left_of = [0] * k
+    for l, party in enumerate(lefts):
+        r = l_optimal.partner(party)
         assert r is not None  # complete profiles yield perfect matchings
-        partner_of[l] = r
-        partner_of[r] = l
+        right_of[l] = r.index
+        left_of[r.index] = l
 
     # ptr[l]: first list position >= it can still hold s_M(l).  Entries
     # before it were rejected by R-parties whose partners only improve,
     # so they stay rejected forever.
-    ptr = {l: profile.rank(l, partner_of[l]) + 1 for l in lefts}
+    ptr = [left_rank[l * k + right_of[l]] + 1 for l in range(k)]
 
     rotations: list[Rotation] = []
     creators: dict[tuple[PartyId, PartyId], int] = {}
-    lift_events: dict[PartyId, list[tuple[int, int]]] = {r: [] for r in right_side(k)}
+    lift_events: list[list[tuple[int, int]]] = [[] for _ in range(k)]
 
     while True:
-        # Successor map: l -> the L-party currently matched to s_M(l).
-        nxt: dict[PartyId, PartyId] = {}
-        for l in lefts:
-            lst = profile.list_of(l)
+        # Successor map: l -> the L-party currently matched to s_M(l),
+        # or -1 when l's list holds no such party.
+        nxt = [-1] * k
+        for l in range(k):
+            base = l * k
             i = ptr[l]
-            while i < k and not profile.prefers(lst[i], l, partner_of[lst[i]]):
+            while i < k:
+                r = left_pref[base + i]
+                r_base = r * k
+                if right_rank[r_base + l] < right_rank[r_base + left_of[r]]:
+                    nxt[l] = left_of[r]
+                    break
                 i += 1
             ptr[l] = i
-            if i < k:
-                nxt[l] = partner_of[lst[i]]
 
         # One exposed rotation = one cycle of the (partial) successor map.
-        cycle: list[PartyId] | None = None
-        dead: set[PartyId] = set()
-        for start in lefts:
-            if start in dead or start not in nxt:
+        cycle: list[int] | None = None
+        dead = bytearray(k)
+        for start in range(k):
+            if dead[start] or nxt[start] < 0:
                 continue
-            path: list[PartyId] = []
-            at: dict[PartyId, int] = {}
+            path: list[int] = []
+            at: dict[int, int] = {}
             node = start
-            while node in nxt and node not in dead and node not in at:
+            while node >= 0 and not dead[node] and node not in at:
                 at[node] = len(path)
                 path.append(node)
                 node = nxt[node]
             if node in at:
                 cycle = path[at[node] :]
                 break
-            dead.update(path)
+            for visited in path:
+                dead[visited] = 1
         if cycle is None:
             break  # no exposed rotation: we are at the R-optimal matching
 
-        cycle = _canonical_cycle(cycle)
+        # Canonical form: the smallest L-party leads.
+        lead = cycle.index(min(cycle))
+        cycle = cycle[lead:] + cycle[:lead]
         index = len(rotations)
-        pairs = tuple((l, partner_of[l]) for l in cycle)
+        pairs = tuple((lefts[l], rights[right_of[l]]) for l in cycle)
         rotations.append(Rotation(index=index, pairs=pairs))
 
         # Eliminate: l_i moves to the old partner of l_{i+1}.
         m = len(cycle)
-        old = {l: partner_of[l] for l in cycle}
+        old = [right_of[l] for l in cycle]
         for i, l in enumerate(cycle):
-            r_new = old[cycle[(i + 1) % m]]
-            partner_of[l] = r_new
-            partner_of[r_new] = l
-            ptr[l] = profile.rank(l, r_new) + 1
-            creators[(l, r_new)] = index
-            lift_events[r_new].append((profile.rank(r_new, l), index))
+            r_new = old[(i + 1) % m]
+            right_of[l] = r_new
+            left_of[r_new] = l
+            ptr[l] = left_rank[l * k + r_new] + 1
+            creators[(lefts[l], rights[r_new])] = index
+            lift_events[r_new].append((right_rank[r_new * k + l], index))
 
-    r_optimal = Matching.from_pairs((l, partner_of[l]) for l in lefts)
+    r_optimal = Matching.from_pairs((lefts[l], rights[right_of[l]]) for l in range(k))
     return RotationDiscovery(
         rotations=tuple(rotations),
         l_optimal=l_optimal,
         r_optimal=r_optimal,
         creators=creators,
-        lifts={r: tuple(events) for r, events in lift_events.items()},
+        lifts={rights[r]: tuple(events) for r, events in enumerate(lift_events)},
     )

@@ -12,6 +12,7 @@ order, and the offline record statistics.
 
 import heapq
 import random
+from array import array
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from repro.core.problem import Setting
 from repro.core.solvability import cached_is_solvable
 from repro.crypto.encoding import pack_profile, pack_ranking, unpack_ranking
-from repro.errors import ProtocolError
+from repro.errors import MatchingError, ProtocolError
 from repro.ids import LEFT, RIGHT, left_side, right_side
 from repro.matching.gale_shapley import gale_shapley
 from repro.matching.generators import (
@@ -234,10 +235,6 @@ class TestKernelGaleShapleyIdentity:
 
     def test_exhaustion_raises(self):
         # A hand-built ragged pref row must fail loudly, like the legacy loop.
-        from array import array
-
-        from repro.errors import MatchingError
-
         pref = array("i", [0, 0, 0, 0])  # both proposers only ever propose to 0
         rank = array("i", [0, 1, 0, 1])
         with pytest.raises(MatchingError, match="exhausted"):
@@ -430,108 +427,196 @@ class TestSolvabilityCacheStats:
 # -- the optional C fast lane --------------------------------------------------
 
 
+def _native_or_skip():
+    from repro.matching import _native
+
+    native = _native.load()
+    if native is None:
+        pytest.skip("no C compiler in this environment")
+    return native
+
+
+def _python_rows(rng, k, count):
+    """``count`` rows from CPython's own ``Random.shuffle``, flattened."""
+    rows = []
+    for _ in range(count):
+        row = list(range(k))
+        rng.shuffle(row)
+        rows.extend(row)
+    return rows
+
+
 class TestNativeLane:
-    """The compiled Fisher-Yates lane is bit-identical to the python loop."""
+    """The compiled MT19937 + Fisher-Yates lane is bit-identical to the
+    python loop: same rows, and the shared generator lands on the same
+    stream position."""
 
-    @pytest.mark.parametrize("k", (64, 65, 257))
+    @pytest.mark.parametrize("k", (64, 65, 257, 1000))
     def test_rows_and_rng_state_match_pure_python(self, k):
-        from repro.matching import _native
-        from repro.matching.kernel import _mt_shuffled_matrix, _shuffled_row
-
-        if _native.load() is None:
-            pytest.skip("no C compiler / numpy in this environment")
+        native = _native_or_skip()
         fast, slow = random.Random(11), random.Random(11)
-        matrix = _mt_shuffled_matrix(fast, k, 2 * k)
-        assert matrix is not None
-        getrandbits = slow.getrandbits
-        rows = [_shuffled_row(k, getrandbits) for _ in range(2 * k)]
-        assert matrix.tolist() == rows
-        # The shared generator must land on the same stream position:
-        # a caller's next draw is unaffected by which lane ran.
+        matrix = native.fy_fill(fast, k, 2 * k)
+        assert matrix.tolist() == _python_rows(slow, k, 2 * k)
+        # A caller's next draw is unaffected by which lane ran.
         assert fast.getstate() == slow.getstate()
         assert fast.random() == slow.random()
 
+    @pytest.mark.parametrize("k,count", ((64, 200), (257, 40)))
+    def test_row_counts_match_pure_python(self, k, count):
+        native = _native_or_skip()
+        fast, slow = random.Random(23), random.Random(23)
+        assert native.fy_fill(fast, k, count).tolist() == _python_rows(slow, k, count)
+        assert fast.getstate() == slow.getstate()
+        assert fast.random() == slow.random()
+
+    def test_split_calls_match_one_call(self):
+        # The state hand-off through getstate/setstate is invisible:
+        # rows drawn over several calls equal rows drawn in one.
+        native = _native_or_skip()
+        k, count = 97, 64
+        whole = native.fy_fill(random.Random(3), k, count)
+        rng = random.Random(3)
+        split = array("i")
+        for rows in (1, 7, 24, 32):
+            split.extend(native.fy_fill(rng, k, rows))
+        assert split == whole
+
+    def test_k8192_matches_python(self):
+        native = _native_or_skip()
+        k, count = 8192, 8
+        fast, slow = random.Random(8192), random.Random(8192)
+        assert native.fy_fill(fast, k, count).tolist() == _python_rows(slow, k, count)
+        assert fast.getstate() == slow.getstate()
+        assert fast.random() == slow.random()
+
+    def test_gauss_slot_and_stream_position_carry_over(self):
+        # Mid-stream state (a pending gauss value, a partly used word
+        # block) goes in and comes back out exactly.
+        native = _native_or_skip()
+        fast, slow = random.Random(5), random.Random(5)
+        for rng in (fast, slow):
+            rng.gauss(0.0, 1.0)
+            rng.getrandbits(32 * 300)
+        assert native.fy_fill(fast, 64, 3).tolist() == _python_rows(slow, 64, 3)
+        assert fast.getstate() == slow.getstate()
+        assert fast.gauss(0.0, 1.0) == slow.gauss(0.0, 1.0)
+
+    def test_refuses_generators_it_cannot_reproduce(self):
+        native = _native_or_skip()
+
+        class Custom(random.Random):
+            pass
+
+        with pytest.raises(TypeError):
+            native.fy_fill(Custom(1), 64, 1)
+
     def test_small_instances_stay_on_the_python_path(self):
-        from repro.matching.kernel import _NATIVE_MIN_CELLS, _mt_shuffled_matrix
+        from repro.matching.kernel import _NATIVE_MIN_CELLS, _native_for
 
         k = 8
         assert 2 * k * k < _NATIVE_MIN_CELLS
-        assert _mt_shuffled_matrix(random.Random(0), k, 2 * k) is None
+        assert _native_for(2 * k * k) is None
+        assert _native_for(k * k) is None
 
     def test_native_invert_matches_python(self):
-        from repro.matching import _native
+        native = _native_or_skip()
+        rows = array("i", [2, 0, 1, 3, 3, 2, 1, 0])
+        assert native.invert_rows(rows, 4).tolist() == [1, 2, 0, 3, 3, 2, 1, 0]
+        # An out-of-range entry is refused, never written through.
+        assert native.invert_rows(array("i", [0, 2]), 2) is None
 
-        native = _native.load()
-        if native is None:
-            pytest.skip("no C compiler / numpy in this environment")
-        np = pytest.importorskip("numpy")
-        rows = np.array([[2, 0, 1, 3], [3, 2, 1, 0]], dtype=np.int32)
-        out = np.empty_like(rows)
-        native.invert_rows(rows, 4, out)
-        assert out.tolist() == [[1, 2, 0, 3], [3, 2, 1, 0]]
+    @pytest.mark.parametrize("k", (64, 300))
+    def test_tables_match_the_validating_constructor(self, k):
+        # The lane's matrices feed RankTables directly; the result must
+        # equal the validating constructor's tables byte for byte.
+        profile = random_profile(k, k)
+        lists = profile.lists
+        validated = PreferenceProfile(k=k, lists=dict(lists))
+        for name in ("left_pref", "right_pref", "left_rank", "right_rank"):
+            got = getattr(profile.tables, name)
+            assert got.tobytes() == getattr(validated.tables, name).tobytes()
 
 
-class TestChunkedNativeLane:
-    """Beyond the 64 MiB word budget the native lane streams in chunks;
-    the chunk boundaries must be invisible in both output and rng state."""
+def _outcome(run):
+    try:
+        return ("ok", run())
+    except MatchingError as exc:
+        return ("raised", str(exc))
 
-    def test_chunked_stream_identical_to_unchunked(self):
-        from repro.matching import _native
-        from repro.matching.kernel import _mt_shuffled_matrix
 
-        if _native.load() is None:
-            pytest.skip("no C compiler / numpy in this environment")
-        k, count = 97, 64
-        whole = _mt_shuffled_matrix(random.Random(3), k, count)
-        # A budget this small forces many chunks with leftover carry.
-        chunked = _mt_shuffled_matrix(random.Random(3), k, count, word_budget=4096)
-        assert whole is not None and chunked is not None
-        assert chunked.tolist() == whole.tolist()
+@st.composite
+def _rank_instances(draw):
+    """Pref/rank matrices across the native cutoff, half of them
+    malformed: rows naming only the first ``k // 2`` responders leave
+    more proposers than reachable responders, so someone runs off its
+    list."""
+    k = draw(st.sampled_from([2, 5, 17, 63, 64, 65, 90]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10**9)))
+    broken = draw(st.booleans())
+    pref = array("i")
+    rank = array("i")
+    for _ in range(k):
+        if broken:
+            pref.extend(rng.randrange(k // 2) for _ in range(k))
+        else:
+            pref.extend(rng.sample(range(k), k))
+        rank.extend(rng.sample(range(k), k))
+    return k, pref, rank
 
-    @pytest.mark.parametrize("k,count,budget", ((64, 200, 4096), (257, 40, 8192)))
-    def test_chunked_rows_and_rng_state_match_pure_python(self, k, count, budget):
-        from repro.matching import _native
-        from repro.matching.kernel import _mt_shuffled_matrix, _shuffled_row
 
-        if _native.load() is None:
-            pytest.skip("no C compiler / numpy in this environment")
-        fast, slow = random.Random(23), random.Random(23)
-        matrix = _mt_shuffled_matrix(fast, k, count, word_budget=budget)
-        assert matrix is not None
-        getrandbits = slow.getrandbits
-        rows = [_shuffled_row(k, getrandbits) for _ in range(count)]
-        assert matrix.tolist() == rows
-        assert fast.getstate() == slow.getstate()
-        assert fast.random() == slow.random()
+class TestNativeGaleShapley:
+    """The compiled proposal loop behind ``gs_rank_arrays`` vs the python
+    loop: matching, ``proposals``, and the exhaustion error."""
 
-    def test_k8192_exceeds_budget_and_matches_python(self):
-        from repro.matching import _native
-        from repro.matching.kernel import (
-            _WORD_BUDGET,
-            _expected_row_words,
-            _mt_shuffled_matrix,
-            _shuffled_row,
-        )
+    @given(
+        st.sampled_from([2, 7, 40, 63, 64, 65, 100]),
+        st.integers(min_value=0, max_value=10**9),
+        st.sampled_from([LEFT, RIGHT]),
+    )
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow], deadline=None)
+    def test_matches_python_loop_on_both_sides(self, k, seed, side):
+        from repro.matching.kernel import _gs_python
 
-        if _native.load() is None:
-            pytest.skip("no C compiler / numpy in this environment")
-        k, count = 8192, 8
-        # The point of the chunking: a full 2*k-row ensemble at this k
-        # does not fit the unchunked allocation.
-        assert _expected_row_words(k) * 2 * k > _WORD_BUDGET
-        # A 64k-word budget leaves room for ~2 rows per chunk at k=8192
-        # (the 4*k carry dominates), so this run crosses several chunk
-        # boundaries just like the full ensemble would.
-        budget = 1 << 16
-        assert (budget - 4 * k) / _expected_row_words(k) < count
-        fast, slow = random.Random(8192), random.Random(8192)
-        matrix = _mt_shuffled_matrix(fast, k, count, word_budget=budget)
-        assert matrix is not None
-        getrandbits = slow.getrandbits
-        rows = [_shuffled_row(k, getrandbits) for _ in range(count)]
-        assert matrix.tolist() == rows
-        assert fast.getstate() == slow.getstate()
-        # And the default budget gives the same rows (chunk layout is
-        # invisible in the output stream).
-        default = _mt_shuffled_matrix(random.Random(8192), k, count)
-        assert default.tolist() == rows
+        native = _native_or_skip()
+        tables = random_profile(k, seed).tables
+        if side == LEFT:
+            pref, rank = tables.left_pref, tables.right_rank
+        else:
+            pref, rank = tables.right_pref, tables.left_rank
+        expected = _gs_python(k, pref, rank)
+        assert native.gs(k, pref, rank) == expected
+        assert gs_rank_arrays(k, pref, rank) == expected
+        result = gale_shapley(random_profile(k, seed), side)
+        assert result.proposals == expected[1]
+
+    @given(_rank_instances())
+    @settings(max_examples=80, suppress_health_check=[HealthCheck.too_slow], deadline=None)
+    def test_malformed_input_fails_like_python(self, instance):
+        from repro.matching.kernel import _gs_python
+
+        native = _native_or_skip()
+        k, pref, rank = instance
+        expected = _outcome(lambda: _gs_python(k, pref, rank))
+        assert _outcome(lambda: gs_rank_arrays(k, pref, rank)) == expected
+        # The C loop itself bails out exactly when the python loop raises.
+        assert (native.gs(k, pref, rank) is None) == (expected[0] == "raised")
+
+    @pytest.mark.parametrize("k", (2, 64))
+    def test_exhaustion_raises_on_both_sides_of_the_cutoff(self, k):
+        pref = array("i", [0]) * (k * k)  # everyone only ever proposes to 0
+        rank = array("i", list(range(k))) * k
+        with pytest.raises(MatchingError, match="proposer 1 exhausted"):
+            gs_rank_arrays(k, pref, rank)
+
+    def test_refuses_buffers_it_cannot_read(self):
+        from repro.matching.kernel import _gs_python
+
+        native = _native_or_skip()
+        k = 64
+        tables = random_profile(k, 1).tables
+        pref, rank = tables.left_pref, tables.right_rank
+        assert native.gs(k, list(pref), rank) is None
+        assert native.gs(k, pref, rank[:-1]) is None
+        assert native.gs(k, array("l", pref), rank) is None
+        # gs_rank_arrays then runs the python loop on what it was given.
+        assert gs_rank_arrays(k, list(pref), list(rank)) == _gs_python(k, pref, rank)

@@ -35,7 +35,7 @@ from repro.experiment.lattice_tags import (
     stamp_lattice_positions,
 )
 from repro.experiment.presets import PRESETS, preset_names
-from repro.ids import left_party as l, right_party as r
+from repro.ids import left_party as l, left_side, right_party as r
 from repro.io import dump_lattice_report, load_lattice_report
 from repro.matching.enumerate_stable import (
     all_stable_matchings,
@@ -166,20 +166,52 @@ class TestPosetShapes:
         assert poset.position_of(poset.r_optimal) == frozenset(range(5))
 
     def test_discovery_order_is_topological(self):
-        for seed in range(12):
-            poset = build_poset(random_profile(6, seed))
-            for successor, preds in enumerate(poset.preds):
-                assert all(p < successor for p in preds)
+        for n, seeds in ((6, range(12)), (64, range(3)), (128, range(3))):
+            for seed in seeds:
+                poset = build_poset(random_profile(n, seed))
+                for successor, preds in enumerate(poset.preds):
+                    assert all(p < successor for p in preds)
 
     def test_rotation_weight_telescopes(self):
         # Summing every rotation's signed weight walks the egalitarian
         # cost from the L-optimal to the R-optimal matching.
-        profile = _gusfield_irving()
-        discovery = find_rotations(profile)
-        total = sum(rot.weight(profile) for rot in discovery.rotations)
-        assert total == egalitarian_cost(
-            discovery.r_optimal, profile
-        ) - egalitarian_cost(discovery.l_optimal, profile)
+        profiles = [_gusfield_irving()] + [
+            random_profile(n, seed) for n in (64, 128) for seed in range(3)
+        ]
+        for profile in profiles:
+            discovery = find_rotations(profile)
+            total = sum(rot.weight(profile) for rot in discovery.rotations)
+            assert total == egalitarian_cost(
+                discovery.r_optimal, profile
+            ) - egalitarian_cost(discovery.l_optimal, profile)
+
+    @pytest.mark.parametrize("n", (64, 128))
+    def test_elimination_walk_at_scale(self, n):
+        # Replaying the rotations from the L-optimal matching stays
+        # stable after every elimination and ends on the R-proposing
+        # Gale-Shapley matching.
+        for seed in range(4):
+            profile = random_profile(n, seed)
+            discovery = find_rotations(profile)
+            assert discovery.r_optimal == gale_shapley(profile, "R").matching
+            partner = dict(discovery.l_optimal.pairs)
+            assert _stable_by_rank(partner, profile)
+            for rotation in discovery.rotations:
+                for left, _right, right_next in rotation.moves():
+                    partner[left] = right_next
+                    partner[right_next] = left
+                assert _stable_by_rank(partner, profile)
+            assert partner == dict(discovery.r_optimal.pairs)
+
+
+def _stable_by_rank(partner, profile) -> bool:
+    """No blocking pair, in O(k^2) rank lookups (``is_stable`` is O(k^3))."""
+    for left in left_side(profile.k):
+        current = profile.rank(left, partner[left])
+        for right in profile.list_of(left)[:current]:
+            if profile.rank(right, left) < profile.rank(right, partner[right]):
+                return False
+    return True
 
 
 # -- differentials ------------------------------------------------------------
